@@ -26,6 +26,7 @@ versus IPC lost) and shows the closed-loop variant dominating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,9 +175,14 @@ class VoltageGuidedThrottle:
         ``other_current`` carries everything else on the rail (sibling
         core + uncore); ``ripple`` optionally adds the VRM sawtooth so the
         trigger sees realistic waveforms.
-        """
-        from repro.uarch.core import Core
 
+        The feedback makes this a per-cycle loop.  It runs on Python
+        floats: every expression keeps the operation order of the
+        vectorized current model and of ``sosfilt``'s direct form II
+        transposed step, so a throttle that never arms reproduces
+        ``chip.simulator.simulate`` of ``Core.current_from_activity``
+        bit for bit.
+        """
         activity = np.asarray(activity, dtype=float)
         other_current = np.asarray(other_current, dtype=float)
         if activity.shape != other_current.shape or activity.ndim != 1:
@@ -184,64 +190,82 @@ class VoltageGuidedThrottle:
                 "activity and other_current must be equal-length 1-D arrays"
             )
         n = activity.size
-        if ripple is None:
-            ripple = np.zeros(n)
+        if n == 0:
+            raise ConfigurationError("activity must be non-empty")
+        ripple = np.zeros(n) if ripple is None else np.asarray(ripple, dtype=float)
+        if ripple.shape != activity.shape:
+            raise ConfigurationError(
+                f"ripple must have one sample per cycle ({n}), "
+                f"got shape {ripple.shape}"
+            )
 
         simulator = self._chip.simulator
         sos, zi_unit = simulator.discrete_sections()
         nominal = simulator.network.nominal_voltage
-        core = Core()
-        params = core.parameters
-        alpha = 1.0 - np.exp(-1.0 / params.gating_tau_cycles)
+        params = self._chip.core_parameters
+        # np.exp, not math.exp: the batched current model rounds this way.
+        alpha = float(1.0 - np.exp(-1.0 / params.gating_tau_cycles))
         w_fast = params.fast_fraction
+        leakage = params.leakage_amps
+        dynamic = params.dynamic_max_amps
+        sections = [
+            (b0, b1, b2, a1, a2)
+            for b0, b1, b2, _, a1, a2 in sos.tolist()
+        ]
+        relief = self._relief
+        slew = self._slew
+        hold = self._hold
 
-        out = activity.copy()
-        engaged = np.zeros(n, dtype=bool)
-        voltage = np.empty(n)
+        requested = activity.tolist()
+        other = other_current.tolist()
+        ripple_in = ripple.tolist()
+        out = list(requested)
+        engaged = [False] * n
+        voltage = [0.0] * n
         deferred = 0.0
 
-        slow_state = activity[0]
-        current0 = params.leakage_amps + params.dynamic_max_amps * activity[0]
-        total0 = current0 + other_current[0]
-        state = zi_unit * total0
+        slow_state = requested[0]
+        current0 = leakage + dynamic * requested[0]
+        total0 = current0 + other[0]
+        state = (zi_unit * total0).tolist()
         armed_until = -1
         arm_level = -self._arm_margin * nominal
 
         for t in range(n):
+            level = requested[t]
             if t > 0:
                 armed = t <= armed_until
-                recovering = out[t - 1] < activity[t - 1] - 1e-12
-                target = (
-                    activity[t] * (1.0 - self._relief) if armed else activity[t]
-                )
-                if (armed or recovering) and target > out[t - 1] + self._slew:
+                previous = out[t - 1]
+                recovering = previous < requested[t - 1] - 1e-12
+                target = level * (1.0 - relief) if armed else level
+                if (armed or recovering) and target > previous + slew:
                     # Both the throttle and its release ramp gently; a
                     # sharp release edge would ring the supply itself.
-                    target = out[t - 1] + self._slew
-                if target < activity[t]:
+                    target = previous + slew
+                if target < level:
                     engaged[t] = armed
-                    deferred += activity[t] - target
+                    deferred += level - target
                 out[t] = target
             # Core current from (possibly throttled) activity.
-            slow_state = (1 - alpha) * slow_state + alpha * out[t]
-            effective = w_fast * out[t] + (1 - w_fast) * slow_state
-            current = params.leakage_amps + params.dynamic_max_amps * effective
-            x = current + other_current[t]
+            issued = out[t]
+            slow_state = (1 - alpha) * slow_state + alpha * issued
+            effective = w_fast * issued + (1 - w_fast) * slow_state
+            current = leakage + dynamic * effective
+            x = current + other[t]
             # One step of the SOS filter (direct form II transposed).
-            for s in range(sos.shape[0]):
-                b0, b1, b2, _, a1, a2 = sos[s]
-                y = b0 * x + state[s, 0]
-                state[s, 0] = b1 * x - a1 * y + state[s, 1]
-                state[s, 1] = b2 * x - a2 * y
+            for (b0, b1, b2, a1, a2), z in zip(sections, state):
+                y = b0 * x + z[0]
+                z[0] = b1 * x - a1 * y + z[1]
+                z[1] = b2 * x - a2 * y
                 x = y
-            v = nominal + x + ripple[t]
+            v = nominal + x + ripple_in[t]
             voltage[t] = v
             if v - nominal < arm_level:
-                armed_until = t + self._hold
+                armed_until = t + hold
         return GuidedThrottleOutcome(
-            activity=out,
-            voltage=voltage,
-            engaged=engaged,
+            activity=np.array(out),
+            voltage=np.array(voltage),
+            engaged=np.array(engaged, dtype=bool),
             deferred_work=deferred,
         )
 
@@ -270,40 +294,49 @@ class EmergencyPredictor:
         if activity.ndim != 1 or activity.size == 0:
             raise ConfigurationError("activity must be a non-empty 1-D array")
         p = self._params
-        out = activity.copy()
-        engaged = np.zeros(activity.size, dtype=bool)
+        drop_window = p.drop_window
+        arm_drop = p.arm_drop
+        slew = p.slew_per_cycle
+        hold = p.hold_cycles
+        # Python floats, not numpy scalars: the same IEEE-754 operations
+        # at a fraction of the per-cycle cost.
+        requested = activity.tolist()
+        out = list(requested)
+        engaged = [False] * len(requested)
         armed_until = -1  # deadline for the refill to *begin*
         ramping = False
-        ramp_target = np.inf
+        ramp_target = math.inf
         deferred_total = 0.0
-        for t in range(1, activity.size):
-            lookback = max(0, t - p.drop_window)
-            if activity[lookback] - activity[t] >= p.arm_drop:
+        for t in range(1, len(requested)):
+            lookback = max(0, t - drop_window)
+            level = requested[t]
+            if requested[lookback] - level >= arm_drop:
                 # A deep drop: the next refill edge is the dangerous one.
                 # Remember the pre-drop level; while already armed keep the
                 # highest target seen (the lookback window slides into the
                 # stall itself as it lengthens).
-                if (t <= armed_until or ramping) and np.isfinite(ramp_target):
-                    ramp_target = max(ramp_target, activity[lookback])
+                if (t <= armed_until or ramping) and math.isfinite(ramp_target):
+                    ramp_target = max(ramp_target, requested[lookback])
                 else:
-                    ramp_target = activity[lookback]
-                armed_until = t + p.hold_cycles
+                    ramp_target = requested[lookback]
+                armed_until = t + hold
             active = ramping or t <= armed_until
-            if active and out[t - 1] < ramp_target:
-                cap = out[t - 1] + p.slew_per_cycle
-                if activity[t] > cap:
+            previous = out[t - 1]
+            if active and previous < ramp_target:
+                cap = previous + slew
+                if level > cap:
                     # The refill began: once clipping, stay engaged until
                     # the ramp completes, however long the stall lasted.
                     ramping = True
                     engaged[t] = True
-                    deferred_total += activity[t] - cap
+                    deferred_total += level - cap
                     out[t] = cap
-            if out[t - 1] >= ramp_target:
+            if previous >= ramp_target:
                 ramping = False
                 armed_until = -1
-                ramp_target = np.inf
+                ramp_target = math.inf
         return ThrottleOutcome(
-            activity=np.clip(out, 0.0, None),
-            engaged=engaged,
+            activity=np.clip(np.array(out), 0.0, None),
+            engaged=np.array(engaged, dtype=bool),
             deferred_work=deferred_total,
         )

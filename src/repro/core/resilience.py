@@ -25,7 +25,7 @@ target (Tab. I, Fig. 19).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from repro.measurement.tail import DroopTailModel
 
 #: The paper's canonical recovery-cost sweep (cycles per emergency).
 RECOVERY_COSTS: Tuple[int, ...] = (1, 10, 100, 1_000, 10_000, 100_000)
+
+#: A scalar, or an array evaluated elementwise.
+FloatOrArray = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,15 @@ class ResilienceParameters:
                 "min_margin must be in (0, worst_case_margin)"
             )
 
-    def frequency_gain(self, margin: float) -> float:
-        """Clock-speed factor of running at ``margin`` vs the guardband."""
-        if not 0 < margin <= self.worst_case_margin:
+    def frequency_gain(self, margin: FloatOrArray) -> FloatOrArray:
+        """Clock-speed factor of running at ``margin`` vs the guardband.
+
+        Accepts a scalar or an array of margins (elementwise).
+        """
+        inside = np.greater(margin, 0) & np.less_equal(
+            margin, self.worst_case_margin
+        )
+        if not np.all(inside):
             raise ConfigurationError(
                 f"margin must be in (0, {self.worst_case_margin}]"
             )
@@ -72,20 +81,22 @@ class ResilienceParameters:
 
 
 def performance_improvement(
-    margin: float,
-    recovery_cost: float,
-    emergency_rate_per_cycle: float,
+    margin: FloatOrArray,
+    recovery_cost: FloatOrArray,
+    emergency_rate_per_cycle: FloatOrArray,
     parameters: ResilienceParameters = ResilienceParameters(),
-) -> float:
+) -> FloatOrArray:
     """Net speedup (fraction) of a resilient design over worst-case.
 
     Emergencies add ``rate * cost`` recovery cycles per useful cycle; the
     aggressive margin multiplies clock frequency.  Values below 0 are the
-    paper's "dead zone": worse than the conservative baseline.
+    paper's "dead zone": worse than the conservative baseline.  The
+    arguments broadcast against each other, so one call can evaluate a
+    whole (margin x run) grid.
     """
-    if recovery_cost < 0:
+    if np.any(np.less(recovery_cost, 0)):
         raise ConfigurationError("recovery_cost must be non-negative")
-    if emergency_rate_per_cycle < 0:
+    if np.any(np.less(emergency_rate_per_cycle, 0)):
         raise ConfigurationError("emergency_rate must be non-negative")
     gain = parameters.frequency_gain(margin)
     overhead = emergency_rate_per_cycle * recovery_cost
@@ -134,14 +145,37 @@ class ResilientDesignModel:
     # ------------------------------------------------------------------
     # Aggregate sweeps
     # ------------------------------------------------------------------
+    def _rate_matrix(self, margins: np.ndarray) -> np.ndarray:
+        """Emergency rates, one row per margin and one column per run.
+
+        Runs sit on the contiguous last axis: ``mean(axis=-1)`` then sums
+        each row in the same pairwise order as ``np.mean`` over a list
+        of per-run values, which keeps every sweep bit-identical to the
+        per-element evaluation.
+        """
+        return np.stack([tail.rates(margins) for tail in self._tails], axis=-1)
+
+    def _improvement_matrix(
+        self, margins: np.ndarray, recovery_cost: FloatOrArray
+    ) -> np.ndarray:
+        """Per-run improvement, shape (margin, run).
+
+        A ``(cost, 1, 1)`` array of recovery costs broadcasts to a
+        (cost, margin, run) block, runs still on the last axis.
+        """
+        margins = np.asarray(margins, dtype=float)
+        return performance_improvement(
+            margins[:, None],
+            recovery_cost,
+            self._rate_matrix(margins),
+            self._parameters,
+        )
+
     def mean_improvement(self, margin: float, recovery_cost: float) -> float:
         """Average improvement across all runs at one design point."""
-        return float(np.mean([
-            performance_improvement(
-                margin, recovery_cost, tail.rate(margin), self._parameters
-            )
-            for tail in self._tails
-        ]))
+        return float(
+            self._improvement_matrix(np.array([margin]), recovery_cost)[0].mean()
+        )
 
     def mean_emergency_rate(self, margin: float) -> float:
         """Average per-cycle emergency rate across all runs at a margin.
@@ -150,7 +184,7 @@ class ResilientDesignModel:
         mechanism would actually service — the telemetry layer exports
         it (scaled to events per 1K cycles) per evaluated mechanism.
         """
-        return float(np.mean([tail.rate(margin) for tail in self._tails]))
+        return float(self._rate_matrix(np.array([margin]))[0].mean())
 
     def margin_grid(self, n_points: int = 60) -> np.ndarray:
         """The margin axis used by sweeps (min_margin … worst case)."""
@@ -168,10 +202,8 @@ class ResilientDesignModel:
         """(margins, mean improvement) — one line of Fig. 8."""
         if margins is None:
             margins = self.margin_grid()
-        improvements = np.array([
-            self.mean_improvement(float(m), recovery_cost) for m in margins
-        ])
-        return margins, improvements
+        improvements = self._improvement_matrix(margins, recovery_cost)
+        return margins, improvements.mean(axis=-1)
 
     def optimal_margin(
         self,
@@ -195,10 +227,9 @@ class ResilientDesignModel:
         """(margins, costs, improvement[cost, margin]) — one Fig. 10 panel."""
         if margins is None:
             margins = self.margin_grid()
-        grid = np.empty((len(recovery_costs), margins.size))
-        for i, cost in enumerate(recovery_costs):
-            _, grid[i] = self.margin_sweep(cost, margins)
-        return margins, np.asarray(recovery_costs, dtype=float), grid
+        costs = np.asarray(recovery_costs, dtype=float)
+        improvements = self._improvement_matrix(margins, costs[:, None, None])
+        return margins, costs, improvements.mean(axis=-1)
 
     # ------------------------------------------------------------------
     # Per-run pass/fail (Tab. I / Fig. 19)
@@ -226,33 +257,19 @@ class ResilientDesignModel:
         """
         if margins is None:
             margins = self.margin_grid()
-        optima = np.empty(len(self._tails))
-        for i, tail in enumerate(self._tails):
-            improvements = np.array([
-                performance_improvement(
-                    float(m), recovery_cost, tail.rate(float(m)),
-                    self._parameters,
-                )
-                for m in margins
-            ])
-            optima[i] = float(margins[int(np.argmax(improvements))])
-        return optima
+        improvements = self._improvement_matrix(margins, recovery_cost)
+        return np.asarray(margins, dtype=float)[np.argmax(improvements, axis=0)]
 
     def one_design_fits_all_gap(self, recovery_cost: float) -> float:
         """Mean improvement lost by using the single static optimal margin
         instead of each run's own optimum.  The paper argues this gap is
         negligible; returns the absolute improvement difference."""
-        margins = self.margin_grid()
-        static = self.optimal_margin(recovery_cost, margins)
-        per_run = self.per_run_optimal_margins(recovery_cost, margins)
-        individual = float(np.mean([
-            performance_improvement(
-                float(m), recovery_cost, tail.rate(float(m)),
-                self._parameters,
-            )
-            for m, tail in zip(per_run, self._tails)
-        ]))
-        return individual - static.improvement
+        improvements = self._improvement_matrix(
+            self.margin_grid(), recovery_cost
+        )
+        static = float(improvements.mean(axis=-1).max())
+        individual = float(improvements.max(axis=0).mean())
+        return individual - static
 
     def passing_runs(
         self,
@@ -262,9 +279,8 @@ class ResilientDesignModel:
         tolerance: float = 0.0,
     ) -> List[int]:
         """Indices of runs meeting the expected improvement at a margin."""
-        passing = []
-        for i in range(len(self._tails)):
-            improvement = self.run_improvement(i, margin, recovery_cost)
-            if improvement >= expected_improvement - tolerance:
-                passing.append(i)
-        return passing
+        improvements = self._improvement_matrix(
+            np.array([margin]), recovery_cost
+        )[0]
+        meets = improvements >= expected_improvement - tolerance
+        return np.flatnonzero(meets).tolist()

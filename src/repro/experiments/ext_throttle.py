@@ -24,6 +24,8 @@ blindly.
 
 from __future__ import annotations
 
+from typing import List, Sequence, Tuple
+
 import numpy as np
 
 from repro.core.predictor import (
@@ -48,18 +50,57 @@ OPEN_LOOP = ThrottleParameters(
 )
 
 
+def sample_stream(
+    chip: Chip, name: str, rep: int, n_cycles: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (benchmark, repeat) input on ``chip``'s rail.
+
+    Returns the throttled core's activity, the current of everything
+    else on the rail (an idling sibling plus uncore) and the VRM ripple
+    the closed loop senses.
+    """
+    core = Core(chip.core_parameters)
+    window = spec_benchmark(name).sample_window(n_cycles, rng=50 + rep)
+    activity = core.realize_activity(window)
+    idle_activity = core.realize_activity(
+        IdleLoop().sample_window(n_cycles, rng=60 + rep)
+    )
+    other = core.current_from_activity(idle_activity) + 2.0
+    ripple = DEFAULT_PARAMETERS.vrm.ripple(
+        n_cycles, CLOCK_PERIOD_S, chip.nominal_voltage, seed=rep
+    )
+    return activity, other, ripple
+
+
+def feed_forward_voltages(
+    chip: Chip,
+    activities: Sequence[np.ndarray],
+    other: np.ndarray,
+    ripple_seed: int,
+) -> List[np.ndarray]:
+    """Die voltage of each activity stream with no throttle feedback.
+
+    Without feedback a stream is a plain feed-forward solve, so all of
+    them go through one batched current model and one batched PDN
+    filter call, with the same VRM ripple on every row -- bit-identical
+    to a :class:`VoltageGuidedThrottle` that never arms.
+    """
+    currents = Core(chip.core_parameters).current_from_activity(
+        np.vstack(activities)
+    ) + other
+    traces = chip.simulator.simulate_batch(
+        currents, seeds=[ripple_seed] * len(activities)
+    )
+    return [trace.samples for trace in traces]
+
+
 def run(quick: bool = False, config: str = "Proc3") -> ExperimentResult:
     n_cycles = 20_000 if quick else 30_000
     repeats = 2 if quick else 3
     chip = Chip(config, with_ripple=True, slack_coupling=0.0)
-    core = Core()
-    idle = IdleLoop()
     nominal = chip.nominal_voltage
     open_loop = EmergencyPredictor(OPEN_LOOP)
     closed_loop = VoltageGuidedThrottle(chip)
-    passthrough = VoltageGuidedThrottle(
-        chip, arm_margin=0.5, slew_per_cycle=1.0, hold_cycles=1
-    )
 
     def events(voltage: np.ndarray) -> float:
         trace = VoltageTrace(voltage, CLOCK_PERIOD_S, nominal)
@@ -73,21 +114,15 @@ def run(quick: bool = False, config: str = "Proc3") -> ExperimentResult:
         per_mode = {"raw": [], "open": [], "closed": []}
         per_loss = {"open": [], "closed": []}
         for rep in range(repeats):
-            window = spec_benchmark(name).sample_window(n_cycles, rng=50 + rep)
-            raw_activity = core.realize_activity(window)
-            idle_activity = core.realize_activity(
-                idle.sample_window(n_cycles, rng=60 + rep)
+            raw_activity, other, ripple = sample_stream(
+                chip, name, rep, n_cycles
             )
-            other = core.current_from_activity(idle_activity) + 2.0
-            ripple = DEFAULT_PARAMETERS.vrm.ripple(
-                n_cycles, CLOCK_PERIOD_S, nominal, seed=rep
-            )
-            raw = passthrough.run(raw_activity, other, ripple=ripple)
-            per_mode["raw"].append(events(raw.voltage))
-
             ramped = open_loop.throttle(raw_activity)
-            open_run = passthrough.run(ramped.activity, other, ripple=ripple)
-            per_mode["open"].append(events(open_run.voltage))
+            raw, opened = feed_forward_voltages(
+                chip, [raw_activity, ramped.activity], other, rep
+            )
+            per_mode["raw"].append(events(raw))
+            per_mode["open"].append(events(opened))
             per_loss["open"].append(
                 1.0
                 - np.minimum(ramped.activity, 1.0).sum()

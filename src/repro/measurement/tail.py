@@ -43,6 +43,8 @@ class DroopTailModel:
             raise MeasurementError("statistics cover zero cycles")
         self._stats = statistics
         self._amplitude, self._beta = self._fit()
+        # Sorted once so every margin's event count is a binary search.
+        self._sorted_depths = np.sort(statistics.depths)
 
     @property
     def statistics(self) -> DroopStatistics:
@@ -75,26 +77,32 @@ class DroopTailModel:
         return amplitude, beta
 
     def rate(self, margin: float) -> float:
-        """Emergency rate (events per cycle) at an operating margin.
+        """Emergency rate (events per cycle) at one operating margin."""
+        return float(self.rates(np.array([margin], dtype=float))[0])
+
+    def rates(self, margins: np.ndarray) -> np.ndarray:
+        """Emergency rates (events per cycle), one per margin, same shape.
 
         Uses the empirical count where at least ``MIN_EMPIRICAL_EVENTS``
         excursions exceed the margin; otherwise the fitted tail.
         """
-        if margin <= 0:
+        margins = np.asarray(margins, dtype=float)
+        if (margins <= 0).any():
             raise CalibrationError("margin must be positive")
-        if margin >= self._stats.threshold:
-            empirical_events = self._stats.events_deeper_than(margin)
-            if empirical_events >= MIN_EMPIRICAL_EVENTS:
-                return empirical_events / self._stats.n_cycles
-        extrapolated = self._amplitude * np.exp(-margin / self._beta)
+        stats = self._stats
+        sorted_depths = self._sorted_depths
+        # Excursions strictly deeper than each margin.
+        events = sorted_depths.size - sorted_depths.searchsorted(
+            margins, side="right"
+        )
+        empirical = events / stats.n_cycles
+        extrapolated = self._amplitude * np.exp(-margins / self._beta)
         # Never report more events than actually observed at margins we
         # could count (monotonicity guard for the crossover point).
-        if margin >= self._stats.threshold:
-            empirical = self._stats.event_rate(margin)
-            ceiling = max(empirical, MIN_EMPIRICAL_EVENTS / self._stats.n_cycles)
-            return float(min(extrapolated, ceiling))
-        return float(extrapolated)
-
-    def rates(self, margins: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rate`."""
-        return np.array([self.rate(float(m)) for m in np.asarray(margins)])
+        ceiling = np.maximum(empirical, MIN_EMPIRICAL_EVENTS / stats.n_cycles)
+        counted = margins >= stats.threshold
+        return np.where(
+            counted & (events >= MIN_EMPIRICAL_EVENTS),
+            empirical,
+            np.where(counted, np.minimum(extrapolated, ceiling), extrapolated),
+        )

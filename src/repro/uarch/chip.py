@@ -125,6 +125,11 @@ class Chip:
         return self._config_name
 
     @property
+    def core_parameters(self) -> CoreParameters:
+        """The electrical calibration every core of this chip shares."""
+        return self._cores[0].parameters
+
+    @property
     def nominal_voltage(self) -> float:
         return self._simulator.network.nominal_voltage
 

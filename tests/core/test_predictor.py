@@ -11,6 +11,7 @@ from repro.core.predictor import (
 )
 from repro.errors import ConfigurationError
 from repro.uarch.chip import Chip
+from repro.uarch.core import Core, CoreParameters
 
 
 def burst_activity(n=4000, low=0.2, high=0.8, drop_at=1000, rise_at=1400):
@@ -89,8 +90,6 @@ class TestVoltageGuidedThrottle:
     def test_passthrough_matches_chip_voltage_shape(self, chip):
         """With an unreachable arm margin the co-simulation must agree
         with the vectorized simulator."""
-        from repro.uarch.core import Core
-
         core = Core()
         activity = burst_activity(3000)
         other = np.full(3000, 5.0)
@@ -122,10 +121,49 @@ class TestVoltageGuidedThrottle:
         outcome = VoltageGuidedThrottle(chip).run(activity, other)
         assert 0 <= outcome.throughput_loss_fraction(activity) < 0.5
 
+    def test_passthrough_uses_chip_core_calibration(self):
+        """The co-simulated current model is the chip's own, not the
+        default core's."""
+        params = CoreParameters(
+            leakage_amps=4.0, dynamic_max_amps=12.0,
+            fast_fraction=0.5, gating_tau_cycles=100.0,
+        )
+        chip = Chip(
+            "Proc3", core_parameters=params,
+            with_ripple=False, slack_coupling=0.0,
+        )
+        assert chip.core_parameters == params
+        activity = burst_activity(3000)
+        other = np.full(3000, 5.0)
+        outcome = VoltageGuidedThrottle(
+            chip, arm_margin=0.5, slew_per_cycle=1.0, hold_cycles=1
+        ).run(activity, other)
+        reference = chip.simulator.simulate(
+            Core(params).current_from_activity(activity) + other,
+            include_ripple=False,
+        )
+        assert np.abs(outcome.voltage - reference.samples).max() < 1e-9
+
     def test_validation(self, chip):
         with pytest.raises(ConfigurationError):
             VoltageGuidedThrottle(chip, arm_margin=0)
         with pytest.raises(ConfigurationError):
             VoltageGuidedThrottle(chip).run(
                 np.zeros(10), np.zeros(20)
+            )
+
+    def test_empty_stream_rejected(self, chip):
+        with pytest.raises(ConfigurationError):
+            VoltageGuidedThrottle(chip).run(np.array([]), np.array([]))
+
+    def test_short_ripple_rejected(self, chip):
+        with pytest.raises(ConfigurationError):
+            VoltageGuidedThrottle(chip).run(
+                np.full(100, 0.5), np.full(100, 5.0), ripple=np.zeros(99)
+            )
+
+    def test_long_ripple_rejected(self, chip):
+        with pytest.raises(ConfigurationError):
+            VoltageGuidedThrottle(chip).run(
+                np.full(100, 0.5), np.full(100, 5.0), ripple=np.zeros(101)
             )

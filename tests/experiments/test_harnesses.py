@@ -7,6 +7,7 @@ formats cleanly.  Campaigns are shared through the experiments' own
 context cache, so the whole file stays fast.
 """
 
+import hashlib
 import importlib
 
 import pytest
@@ -42,6 +43,24 @@ MODULES = {
 }
 
 
+#: sha256 of each quick ``format_table()`` whose numbers rest on the
+#: throttle loops or the resilient-design sweeps.  These are the tables'
+#: digests in ``perfbench/digests.json``: a change to one of them fails
+#: here, not only in the benchmark's output check.
+TABLE_DIGESTS = {
+    "ext_throttle":
+        "ae590d21fea4c64f37edc6873030f8723c02777e511c6c808e3851ab512516da",
+    "fig08_margin_sweep":
+        "65ebe9d811482b6aef86f1d742748f8a588774a9e0d1f257e0061a5786aa9e67",
+    "fig10_heatmaps":
+        "0db57d5d174223f17663e5d3d4c1f9cd533368c91777b2dbaf0604b6599e5b30",
+    "tab1_specrate_pass":
+        "d2c87774990c103477a5f2cceee5ed54d966a2b552bc4b9775f65f9834764773",
+    "fig19_pass_increase":
+        "2948aa0e84300edcc61ec441ba3c03fb5c8c76baeff12844b539c78a21418d3a",
+}
+
+
 @pytest.fixture(scope="module")
 def results():
     """Run every harness once (quick mode) and cache the outcomes."""
@@ -74,6 +93,17 @@ def test_experiment_rows_match_columns(results, name):
     if result.columns:
         for row in result.rows:
             assert len(row) == len(result.columns)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_digest_is_pinned(results, name):
+    result = results.get(name) or importlib.import_module(
+        f"repro.experiments.{name}"
+    ).run(quick=True)
+    table = result.format_table()
+    assert hashlib.sha256(table.encode("utf-8")).hexdigest() == (
+        TABLE_DIGESTS[name]
+    ), f"{name}'s quick table changed:\n{table}"
 
 
 def test_every_paper_figure_has_a_harness():

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from benchmarks.gate import (
     DEFAULT_TOLERANCE,
     MIN_GATED_SCORE,
@@ -65,6 +67,19 @@ class TestSpeedupPin:
             {"campaign_throughput": under},
             0.25,
         ) == []
+
+    @pytest.mark.parametrize("name", sorted(SPEEDUP_REFERENCES))
+    def test_every_pin_enforces_its_ceiling(self, name):
+        reference, min_speedup = SPEEDUP_REFERENCES[name]
+        ceiling = reference / min_speedup
+        over = compare({name: ceiling * 1.01}, {name: ceiling * 1.01}, 0.25)
+        assert len(over) == 1
+        assert name in over[0] and f"{min_speedup:g}x" in over[0]
+        assert compare({name: ceiling * 0.9}, {name: ceiling * 0.9}, 0.25) == []
+
+    def test_throttle_and_sweep_wins_are_pinned(self):
+        assert SPEEDUP_REFERENCES["ext_throttle"][1] >= 4.0
+        assert SPEEDUP_REFERENCES["resilience_sweeps"][1] >= 10.0
 
     def test_baseline_satisfies_every_pin(self):
         # The committed baseline itself must honor the speed-up pins:
